@@ -522,6 +522,11 @@ class ServiceDaemon:
         self._emit_state(runner, state)
         runner.status.update(phase=state)
         runner.close_telemetry()
+        # a finished job is served from the store alone: release its
+        # campaign state (nothing reads it again) and its /events tail
+        self.store.save_events(runner.id, runner.ring)
+        runner.ring = []
+        runner.state = None
 
     # ----------------------------- telemetry ---------------------------- #
     def _emit(self, runner: Optional[JobRunner], ev: str, **fields) -> None:
@@ -590,11 +595,18 @@ class ServiceDaemon:
             if runner.ring:
                 events = list(runner.ring)
             else:
-                # a recovered finished job: serve the durable trace tail
-                try:
-                    events = list(read_trace(self.store.trace_path(job_id)))
-                except Exception:  # noqa: BLE001 - no trace is fine
-                    events = []
+                # a finished job: its stored tail, or the durable trace
+                # tail for one finished before tails were stored
+                events = []
+                for path in (
+                    self.store.events_path(job_id),
+                    self.store.trace_path(job_id),
+                ):
+                    try:
+                        events = list(read_trace(path))
+                        break
+                    except Exception:  # noqa: BLE001 - no trace is fine
+                        continue
         if n >= 0:
             events = events[-n:] if n else []
         return events

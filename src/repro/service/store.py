@@ -10,6 +10,7 @@ Layout (one directory per job under the store root)::
         state.pkl               FuzzState snapshot after the last slice
         trace.part              the in-flight slice's worker trace
         trace.jsonl             the job's campaign trace (absorbed parts)
+        events.jsonl            the /events tail of a finished job
         suite/                  the final TestSuite (save/load format)
         result.json             digest + coverage report of a done job
       quarantine/<id>/          corrupted records, moved aside verbatim
@@ -89,6 +90,9 @@ class JobStore:
 
     def part_path(self, job_id: str) -> str:
         return os.path.join(self.job_dir(job_id), "trace.part")
+
+    def events_path(self, job_id: str) -> str:
+        return os.path.join(self.job_dir(job_id), "events.jsonl")
 
     def suite_dir(self, job_id: str) -> str:
         return os.path.join(self.job_dir(job_id), "suite")
@@ -222,6 +226,14 @@ class JobStore:
                 "job %r result was corrupted and quarantined" % (job_id,)
             )
         return result
+
+    def save_events(self, job_id: str, events: List[Dict]) -> None:
+        _atomic_write(
+            self.events_path(job_id),
+            "".join(
+                json.dumps(ev, separators=(",", ":")) + "\n" for ev in events
+            ).encode("utf-8"),
+        )
 
     # ----------------------------- endpoint ---------------------------- #
     def write_endpoint(self, url: str) -> None:

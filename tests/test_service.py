@@ -211,6 +211,24 @@ class TestServiceAPI:
         kinds = {e["ev"] for e in events}
         assert "job_state" in kinds and "campaign_end" in kinds
 
+    def test_finished_job_releases_its_state_and_event_tail(
+        self, daemon, client, tmp_path
+    ):
+        model = demo_slxz(tmp_path)
+        _, body = client.post(
+            "/jobs",
+            {"model": model, "config": dict(GOLDEN, seed=7), "slice_inputs": 50},
+        )
+        job = body["id"]
+        assert client.wait(job)["state"] == "done"
+        runner = daemon.jobs[job]
+        assert runner.state is None and runner.ring == []
+        status, result = client.get("/jobs/%s/results" % job)
+        assert status == 200 and result["execs"] == GOLDEN["max_inputs"]
+        status, events = client.get("/jobs/%s/events?n=500" % job)
+        assert status == 200
+        assert {"job_slice", "campaign_end"} <= {e["ev"] for e in events}
+
     def test_bad_payloads_are_400(self, daemon, client):
         status, body = client.request("POST", "/jobs", body=None)
         assert status == 400
