@@ -415,8 +415,7 @@ def _b_w_boolean(x):
 
 
 def _b_w_single(x):
-    # float32 round-trip; overflow saturates to inf (the scalar wrapper
-    # raises instead — garbage-lane forgiveness, scalar stays authoritative)
+    # float32 round-trip; overflow narrows to inf, like the scalar wrapper
     if not isinstance(x, _np.ndarray):
         return _WRAPPERS["single"](x)
     return _bf(x).astype(_np.float32).astype(_np.float64)

@@ -142,21 +142,26 @@ def cache_key(
 ) -> str:
     """SHA-256 key for one (model, level, optimize, backend, generator)
     variant — ``batch`` and ``kernel`` select the vectorized and native
-    backends respectively.
+    backends respectively.  The kernel variant also keys on the kernel
+    C ABI, so checkouts of different ABIs sharing a cache directory keep
+    separate ``.so`` slots instead of quarantining each other's builds.
 
     Raises :class:`Uncacheable` for models whose parameters cannot be
     serialized deterministically.
     """
-    payload = "\x00".join(
-        (
-            canonical_model_form(model),
-            "level=%s" % level,
-            "optimize=%d" % bool(optimize),
-            "batch=%d" % bool(batch),
-            "kernel=%d" % bool(kernel),
-            "codegen=%s" % CODEGEN_VERSION,
-        )
-    )
+    fields = [
+        canonical_model_form(model),
+        "level=%s" % level,
+        "optimize=%d" % bool(optimize),
+        "batch=%d" % bool(batch),
+        "kernel=%d" % bool(kernel),
+        "codegen=%s" % CODEGEN_VERSION,
+    ]
+    if kernel:
+        from . import kernel as _kernel
+
+        fields.append("kernel_abi=%d" % _kernel.KERNEL_ABI_VERSION)
+    payload = "\x00".join(fields)
     return hashlib.sha256(payload.encode("utf-8")).hexdigest()
 
 

@@ -10,17 +10,20 @@ semantics inlined — and ``kern_run`` fuses the entire per-input fuzz loop
 per batch.  Where the numpy engine pays ~0.4 µs of ufunc dispatch per
 vector op per step, the kernel pays one ctypes crossing per *batch*.
 
+``kern_run`` reads the fuzzer's raw byte streams itself: the Python side
+of a batch is one ``b"".join`` plus per-lane offsets, and the generated C
+decodes every inport field at ``data + offs[l] + t*TUPLE_SIZE +
+field.offset`` with the field's exact dtype (explicit little-endian
+loads; integers sign- or zero-extended, ``boolean`` as ``!= 0``, floats
+widened to double with NaN clamped to 0.0 like the scalar driver).
+
 Semantics contract: a lane must behave bit-for-bit like the scalar
 driver running the same byte stream (the same contract the vectorizer
-honours, gated by the same lane-by-lane differential sweep).  Two
-deliberate exceptions, both inherited from the batch engine:
-
-* ``_w_single`` saturates finite float32 overflow to ``inf`` instead of
-  raising ``OverflowError`` (garbage-lane forgiveness — see
-  ``repro.codegen.batch._b_w_single``);
-* MCDC truth vectors are not recorded (the batch hot path also
-  instantiates with ``record_mcdc=False``); campaigns that need MCDC
-  stay on the scalar or batch paths.
+honours, gated by the same lane-by-lane differential sweep).  One
+deliberate exception, inherited from the batch engine: MCDC truth
+vectors are not recorded (the batch hot path also instantiates with
+``record_mcdc=False``); campaigns that need MCDC stay on the scalar or
+batch paths.
 
 Models using constructs the lowering cannot prove bit-exact raise
 :class:`Unloweable`; the engine catches it and degrades to the numpy
@@ -57,6 +60,7 @@ import sys
 import tempfile
 import time
 from concurrent.futures import ThreadPoolExecutor
+from itertools import accumulate
 from typing import Dict, List, Optional, Tuple
 
 from ..errors import CodegenError
@@ -79,11 +83,29 @@ __all__ = [
     "KernelProgram",
 ]
 
-#: bumped whenever the emitted C ABI (symbol set / layouts) changes; a
-#: cached .so with a different ABI is quarantined, not loaded.  v2 added
-#: the ``stride`` parameter to ``kern_run`` so disjoint lane blocks can
-#: execute as zero-copy views over one shared column array.
-KERNEL_ABI_VERSION = 2
+#: bumped whenever the emitted C ABI (symbol set / layouts) changes; it
+#: is part of the kernel cache key, and a loaded .so with a different ABI
+#: is rejected.  v3: ``kern_run`` decodes the raw byte streams itself
+#: (``data`` + per-lane ``offs``/``iters``), ``kern_meta`` carries the
+#: tuple size and ``kern_field_kinds`` a per-field dtype code.
+KERNEL_ABI_VERSION = 3
+
+#: inport dtype -> (code in ``kern_field_kinds``, C loader in the prelude)
+_FIELD_LOADS = {
+    "int8": (0, "ld_i8"),
+    "int16": (1, "ld_i16"),
+    "int32": (2, "ld_i32"),
+    "uint8": (3, "ld_u8"),
+    "uint16": (4, "ld_u16"),
+    "uint32": (5, "ld_u32"),
+    "boolean": (6, "ld_bool"),
+    "single": (7, "ld_f32"),
+    "double": (8, "ld_f64"),
+}
+
+
+def _field_codes(fields) -> tuple:
+    return tuple(_FIELD_LOADS[f.dtype.name][0] for f in fields)
 
 #: per-model lane capacity of the native kernel.  Independent of the
 #: numpy vectorizer's ``MAX_LANES`` (uint64 bitset width): the kernel's
@@ -973,7 +995,7 @@ class _Lowering:
             return oc, ot
         if dtype_name == "single":
             # float(value) then a float32 round-trip; finite overflow
-            # saturates to inf (batch-engine semantics, see module doc)
+            # narrows to inf, like the scalar wrapper
             da, _ = self._as_double(oc, ot)
             return "((double)(float)%s)" % da, _td(129)
         spec = _WRAP_DTYPES.get(dtype_name)
@@ -1263,9 +1285,7 @@ class _Lowering:
         np_ = self.n_probes
         n_out = len(self.out_types)
         n_fields = len(self.fields)
-        field_kinds = [
-            1 if f.dtype.is_float else 0 for f in self.fields
-        ]
+        field_kinds = _field_codes(self.fields)
         out_kinds = [0 if _is_int(t) else 1 for t in self.out_types]
 
         parts: List[str] = [_C_PRELUDE]
@@ -1274,6 +1294,7 @@ class _Lowering:
         parts.append("#define KMAX %d" % MAX_KERNEL_LANES)
         parts.append("#define NOUT %d" % n_out)
         parts.append("#define NOUTA %d" % max(n_out, 1))
+        parts.append("#define TUPLE_SIZE %d" % self.schedule.layout.size)
         parts.append("")
         parts.extend(self._lut_decls)
         parts.append("")
@@ -1295,8 +1316,9 @@ class _Lowering:
         parts.append("} Model;")
         parts.append("")
         parts.append(
-            "EXPORT const int64_t kern_meta[5] = "
-            "{%d, NP, NOUT, %d, KMAX};" % (KERNEL_ABI_VERSION, n_fields)
+            "EXPORT const int64_t kern_meta[6] = "
+            "{%d, NP, NOUT, %d, KMAX, TUPLE_SIZE};"
+            % (KERNEL_ABI_VERSION, n_fields)
         )
         parts.append(
             "EXPORT const uint8_t kern_out_kinds[NOUTA] = {%s};"
@@ -1374,34 +1396,30 @@ class _Lowering:
         parts.append("")
 
         # --- fused whole-batch loop ----------------------------------- #
-        step_args = []
-        for fi, name in enumerate(self.arg_names):
-            t = self.arg_types[name]
-            src = "fcols" if not _is_int(t) else "icols"
-            step_args.append(
-                "%s[((int64_t)%d * max_iters + t) * stride + l]" % (src, fi)
-            )
-        # `stride` is the lane count of the *whole* batch; a thread block
-        # running lanes [lo, lo+n) passes column pointers pre-offset by
-        # lo and keeps the full-batch stride, so disjoint blocks read the
-        # one shared column array without any per-block repacking
+        # each field is decoded straight from the lane's byte stream;
+        # a thread block running lanes [lo, lo+n) passes ``offs + lo``
+        # and ``iters + lo`` over the one shared ``data`` buffer, so
+        # disjoint blocks need no per-block repacking
+        step_args = [
+            "%s(row + %d)" % (_FIELD_LOADS[f.dtype.name][1], f.offset)
+            for f in self.fields
+        ]
         parts.append(
-            "EXPORT void kern_run(Model* m, int64_t n, const int64_t* iters,\n"
-            "                     int64_t max_iters, const double* fcols,\n"
-            "                     const int64_t* icols, int64_t stride,\n"
+            "EXPORT void kern_run(Model* m, int64_t n, const uint8_t* data,\n"
+            "                     const int64_t* offs, const int64_t* iters,\n"
             "                     int64_t* metric, int64_t* done,\n"
             "                     uint8_t* timed_out, uint8_t* cum) {"
         )
         parts.append("    int64_t l, t; int p;")
         parts.append("    int64_t io[NOUTA]; double dob[NOUTA];")
-        parts.append("    (void)fcols; (void)icols; (void)max_iters; (void)stride;")
         parts.append("    for (l = 0; l < n; l++) {")
         parts.append("        int64_t met = 0;")
         parts.append("        uint8_t* cm = cum + l * NP;")
+        parts.append("        const uint8_t* row = data + offs[l];")
         parts.append("        int64_t ni = iters[l];")
         parts.append("        memset(m->prev, 0, NP);")
         parts.append("        done[l] = ni; timed_out[l] = 0;")
-        parts.append("        for (t = 0; t < ni; t++) {")
+        parts.append("        for (t = 0; t < ni; t++, row += TUPLE_SIZE) {")
         parts.append("            int rc;")
         parts.append("            memset(m->cur, 0, NP);")
         parts.append(
@@ -1620,6 +1638,39 @@ static double k_lookup2d(double u, double v, const double* rbp,
     for (i = 0; i < nr; i++)
         cuts[i] = k_lookup1d(v, cbp, tab + (int64_t)i * nc, nc);
     return k_lookup1d(u, rbp, cuts, nr);
+}
+/* kern_run ingest: one inport field from the raw tuple bytes.  Loads
+ * assemble little-endian bytes explicitly (host-endian-independent);
+ * integers sign- or zero-extend, boolean is != 0, floats widen to
+ * double with NaN clamped to 0.0 like the scalar driver. */
+static inline uint16_t le16(const uint8_t* p) {
+    return (uint16_t)(p[0] | ((uint16_t)p[1] << 8));
+}
+static inline uint32_t le32(const uint8_t* p) {
+    return (uint32_t)p[0] | ((uint32_t)p[1] << 8) |
+           ((uint32_t)p[2] << 16) | ((uint32_t)p[3] << 24);
+}
+static inline uint64_t le64(const uint8_t* p) {
+    return (uint64_t)le32(p) | ((uint64_t)le32(p + 4) << 32);
+}
+static inline int64_t ld_i8(const uint8_t* p) { return (int8_t)p[0]; }
+static inline int64_t ld_i16(const uint8_t* p) { return (int16_t)le16(p); }
+static inline int64_t ld_i32(const uint8_t* p) { return (int32_t)le32(p); }
+static inline int64_t ld_u8(const uint8_t* p) { return p[0]; }
+static inline int64_t ld_u16(const uint8_t* p) { return le16(p); }
+static inline int64_t ld_u32(const uint8_t* p) { return le32(p); }
+static inline int64_t ld_bool(const uint8_t* p) { return p[0] != 0; }
+static inline double ld_f32(const uint8_t* p) {
+    uint32_t u = le32(p);
+    float f;
+    memcpy(&f, &u, sizeof f);
+    return f != f ? 0.0 : (double)f;
+}
+static inline double ld_f64(const uint8_t* p) {
+    uint64_t u = le64(p);
+    double d;
+    memcpy(&d, &u, sizeof d);
+    return d != d ? 0.0 : d;
 }
 """
 
@@ -1869,12 +1920,20 @@ class _KernelLib:
     def __init__(self, so_path: str):
         self.so_path = so_path
         lib = ctypes.CDLL(so_path)
-        meta = (ctypes.c_int64 * 5).in_dll(lib, "kern_meta")
-        self.abi_version = int(meta[0])
+        # the ABI word comes first: ``kern_meta``'s length and every
+        # signature below depend on it
+        self.abi_version = ctypes.c_int64.in_dll(lib, "kern_meta").value
+        if self.abi_version != KERNEL_ABI_VERSION:
+            raise KernelBuildError(
+                "kernel ABI %d != expected %d"
+                % (self.abi_version, KERNEL_ABI_VERSION)
+            )
+        meta = (ctypes.c_int64 * 6).in_dll(lib, "kern_meta")
         self.n_probes = int(meta[1])
         self.n_out = int(meta[2])
         self.n_fields = int(meta[3])
         self.max_lanes = int(meta[4])
+        self.tuple_size = int(meta[5])
         self.out_kinds = tuple(
             (ctypes.c_uint8 * max(self.n_out, 1)).in_dll(lib, "kern_out_kinds")
         )[: self.n_out]
@@ -1901,11 +1960,9 @@ class _KernelLib:
         lib.kern_run.argtypes = [
             ctypes.c_void_p,
             ctypes.c_int64,
-            c_i64p,
-            ctypes.c_int64,
-            c_f64p,
-            c_i64p,
-            ctypes.c_int64,  # stride: lane count of the whole batch
+            ctypes.c_char_p,  # data: the batch's joined byte streams
+            c_i64p,  # offs: per-lane start offsets into data
+            c_i64p,  # iters: per-lane whole-tuple counts
             c_i64p,
             c_i64p,
             c_u8p,
@@ -1927,20 +1984,18 @@ class _KernelLib:
         self.lib = lib
 
     def validate_for(self, schedule) -> None:
-        expect_fields = tuple(
-            1 if f.dtype.is_float else 0 for f in schedule.layout.fields
-        )
-        if self.abi_version != KERNEL_ABI_VERSION:
-            raise KernelBuildError(
-                "kernel ABI %d != expected %d"
-                % (self.abi_version, KERNEL_ABI_VERSION)
-            )
+        layout = schedule.layout
         if self.n_probes != schedule.branch_db.n_probes:
             raise KernelBuildError(
                 "kernel probe count %d != schedule %d"
                 % (self.n_probes, schedule.branch_db.n_probes)
             )
-        if self.field_kinds != expect_fields:
+        if self.tuple_size != layout.size:
+            raise KernelBuildError(
+                "kernel tuple size %d != layout %d"
+                % (self.tuple_size, layout.size)
+            )
+        if self.field_kinds != _field_codes(layout.fields):
             raise KernelBuildError("kernel field layout mismatch")
 
 
@@ -2051,40 +2106,8 @@ class KernelProgram:
                 handle, self._lanes, -1 if limit is None else int(limit)
             )
 
-    def run(self, n, iters, max_iters, fcols, icols):
-        """Fused whole-batch loop; returns (metric, done, timed_out, cum).
-
-        Synchronous single-state path (block 0 runs all lanes); callers
-        reset/arm first.  The threaded engine goes through
-        :meth:`run_async` instead.
-        """
-        from . import batch as _b
-
-        np = _b._np
-        iters_arr = np.ascontiguousarray(iters, dtype=np.int64)
-        metric = np.zeros(n, dtype=np.int64)
-        done = np.zeros(n, dtype=np.int64)
-        timed = np.zeros(n, dtype=np.uint8)
-        np_probes = self._klib.n_probes
-        cum = np.zeros((n, max(np_probes, 1)), dtype=np.uint8)
-        self._klib.lib.kern_run(
-            self._handle,
-            n,
-            _ptr(iters_arr, ctypes.c_int64),
-            max_iters,
-            _ptr(fcols, ctypes.c_double),
-            _ptr(icols, ctypes.c_int64),
-            n,
-            _ptr(metric, ctypes.c_int64),
-            _ptr(done, ctypes.c_int64),
-            _ptr(timed, ctypes.c_uint8),
-            _ptr(cum, ctypes.c_uint8),
-        )
-        return metric, done, timed, cum[:, :np_probes]
-
     def _run_block(
-        self, b, lo, bn, iters_arr, max_iters, fcols, icols, stride,
-        metric, done, timed, cum, limit,
+        self, b, lo, bn, data, offs, iters, metric, done, timed, cum, limit
     ):
         """Reset, arm and run one lane block on its own state struct.
 
@@ -2101,11 +2124,9 @@ class KernelProgram:
         lib.kern_run(
             handle,
             bn,
-            _ptr_off(iters_arr, lo, ctypes.c_int64),
-            max_iters,
-            _ptr_off(fcols, lo, ctypes.c_double),
-            _ptr_off(icols, lo, ctypes.c_int64),
-            stride,
+            data,
+            _ptr_off(offs, lo, ctypes.c_int64),
+            _ptr_off(iters, lo, ctypes.c_int64),
             _ptr_off(metric, lo, ctypes.c_int64),
             _ptr_off(done, lo, ctypes.c_int64),
             _ptr_off(timed, lo, ctypes.c_uint8),
@@ -2113,18 +2134,24 @@ class KernelProgram:
         )
         self.block_busy_s[b] += time.perf_counter() - t0
 
-    def run_async(self, n, iters, max_iters, fcols, icols):
-        """Dispatch ``n`` lanes across the thread blocks; returns a
+    def run_async(self, data, offs, iters):
+        """Dispatch one batch across the thread blocks; returns a
         ``wait()`` callable yielding ``(metric, done, timed_out, cum)``.
 
-        The watchdog limit is sampled here, on the driving thread, so
+        ``data`` is the batch's byte streams joined into one ``bytes``;
+        lane ``l`` runs ``iters[l]`` whole tuples starting at
+        ``offs[l]``.  The pool threads read ``data`` in place, so the
+        caller must keep it alive until ``wait()`` returns.  The
+        watchdog limit is sampled here, on the driving thread, so
         arming keeps the scalar engine's per-batch semantics.  Output
         lane order is the input lane order regardless of partition.
         """
         from . import batch as _b
 
         np = _b._np
-        iters_arr = np.ascontiguousarray(iters, dtype=np.int64)
+        n = len(iters)
+        offs_arr = np.array(offs, dtype=np.int64)
+        iters_arr = np.array(iters, dtype=np.int64)
         metric = np.zeros(n, dtype=np.int64)
         done = np.zeros(n, dtype=np.int64)
         timed = np.zeros(n, dtype=np.uint8)
@@ -2141,7 +2168,7 @@ class KernelProgram:
             futures.append(
                 pools[b].submit(
                     self._run_block,
-                    b, lo, bn, iters_arr, max_iters, fcols, icols, n,
+                    b, lo, bn, data, offs_arr, iters_arr,
                     metric, done, timed, cum, limit,
                 )
             )
@@ -2391,110 +2418,67 @@ def compile_kernel_fuzz_driver(schedule):
 
     _b._require_numpy()
     np = _b._np
-    layout = schedule.layout
     n_probes = schedule.branch_db.n_probes
-    tuple_size = layout.size
-    fields = list(layout.fields)
-    nf = len(fields)
-    rec_dtype = np.dtype(
-        {
-            "names": [f.name for f in fields],
-            "formats": [_b._NP_FMT[f.dtype.name] for f in fields],
-            "offsets": [f.offset for f in fields],
-            "itemsize": tuple_size,
-        }
-    )
-    kinds = [
-        "f" if f.dtype.is_float else ("b" if f.dtype.is_bool else "i")
-        for f in fields
-    ]
-
-    def _buffers(program, need):
-        """Pop a reusable column-buffer pair from the program's pool.
-
-        The pool double-buffers the hot loop: one pair backs the batch
-        executing in the kernel while the next batch packs into the
-        other, so steady state allocates nothing.  Rows past a lane's
-        ``iters[l]`` are never read by the kernel, so buffers need no
-        zeroing between batches.
-        """
-        pool = program.__dict__.setdefault("_column_buffers", [])
-        buf = pool.pop() if pool else {"f": None, "i": None}
-        if buf["f"] is None or buf["f"].size < need:
-            cap = max(need, 4096)
-            buf["f"] = np.empty(cap, dtype=np.float64)
-            buf["i"] = np.empty(cap, dtype=np.int64)
-        return buf
+    tuple_size = schedule.layout.size
 
     def start(program, batch):
-        """Pack ``batch`` and dispatch it to the kernel asynchronously.
+        """Dispatch ``batch`` to the kernel asynchronously.
 
-        Returns an opaque handle for :func:`finish`.  The kernel call
-        releases the GIL, so after ``start`` returns the driving thread
-        can mutate/clamp/pack the *next* batch while this one executes.
+        The streams are joined into one buffer the kernel decodes in
+        place; the returned handle keeps it alive until :func:`finish`.
+        The kernel call releases the GIL, so after ``start`` returns the
+        driving thread can mutate/clamp the *next* batch while this one
+        executes.
         """
-        lanes = program._lanes
         n = len(batch)
         if n == 0:
             return None
-        if n > lanes:
-            raise ValueError("batch of %d exceeds %d lanes" % (n, lanes))
-        iters = [len(b) // tuple_size for b in batch]
-        max_iters = max(max(iters), 1)
-        buf = _buffers(program, nf * max_iters * n)
-        fcols = buf["f"][: nf * max_iters * n].reshape(nf, max_iters, n)
-        icols = buf["i"][: nf * max_iters * n].reshape(nf, max_iters, n)
-        old = np.seterr(all="ignore")
-        try:
-            for l, data in enumerate(batch):
-                k = iters[l]
-                if k == 0:
-                    continue
-                rec = np.frombuffer(data[: k * tuple_size], dtype=rec_dtype)
-                for fi, f in enumerate(fields):
-                    c = rec[f.name]
-                    if kinds[fi] == "f":
-                        cc = c.astype(np.float64)
-                        fcols[fi, :k, l] = np.where(cc != cc, 0.0, cc)
-                    elif kinds[fi] == "b":
-                        icols[fi, :k, l] = (c != 0).astype(np.int64)
-                    else:
-                        icols[fi, :k, l] = c.astype(np.int64)
-        finally:
-            np.seterr(**old)
-        wait = program.run_async(n, iters, max_iters, fcols, icols)
-        return (wait, buf, n)
+        if n > program._lanes:
+            raise ValueError(
+                "batch of %d exceeds %d lanes" % (n, program._lanes)
+            )
+        data = b"".join(batch)
+        lens = [len(b) for b in batch]
+        offs = list(accumulate(lens[:-1], initial=0))
+        iters = [k // tuple_size for k in lens]
+        return program.run_async(data, offs, iters), data
 
     def finish(program, handle, total_int):
-        """Wait for a dispatched batch and fold it sequentially.
+        """Wait for a dispatched batch and fold it in lane order.
 
-        The fold visits lanes in submission order threading ``running``
-        exactly like the scalar engine, so corpus admission and suite
-        digests are bit-identical at any thread count.
+        ``after[l]`` is the coverage bitmap once lanes ``0..l`` are
+        folded into ``total_int`` — exactly the scalar engine's running
+        total — so corpus admission and suite digests are bit-identical
+        at any thread count.  A Python int is built only for the lanes
+        that found new probes; every other lane keeps the running int.
         """
         if handle is None:
             return []
-        wait, buf, n = handle
+        wait, _data = handle
         t0 = time.perf_counter()
         metric, done, timed, cum = wait()
         program.stall_s += time.perf_counter() - t0
-        program.__dict__["_column_buffers"].append(buf)
+        run0 = np.frombuffer(
+            total_int.to_bytes(n_probes, "little"), dtype=np.uint8
+        )
+        after = np.bitwise_or.accumulate(cum, axis=0) | run0
+        before = np.concatenate((run0[None, :], after[:-1]))
+        found = (cum & ~before).any(axis=1).tolist()
         limit = WATCHDOG.limit
         results = []
         running = total_int
-        for l in range(n):
-            cum_l = int.from_bytes(cum[l].tobytes(), "little")
-            found = bool(cum_l & ~running)
-            running |= cum_l
+        for l, (met, new, it, tmo) in enumerate(
+            zip(metric.tolist(), found, done.tolist(), timed.tolist())
+        ):
+            if new:
+                running = int.from_bytes(after[l].tobytes(), "little")
             texc = None
-            if timed[l]:
+            if tmo:
                 texc = WatchdogTimeout(
                     "generated code exceeded the %d-step execution budget"
                     % (limit or 0)
                 )
-            results.append(
-                (int(metric[l]), found, running, int(done[l]), texc)
-            )
+            results.append((met, new, running, it, texc))
         return results
 
     def fuzz_test_kernel(program, cov, batch, total_int):

@@ -49,7 +49,11 @@ def _wrap_single(value):
     value = float(value)
     if value != value or value in (math.inf, -math.inf):
         return value
-    return _PACK_F.unpack(_PACK_F.pack(value))[0]
+    try:
+        return _PACK_F.unpack(_PACK_F.pack(value))[0]
+    except OverflowError:
+        # rounds past FLT_MAX: C's (float)x is the signed infinity
+        return math.copysign(math.inf, value)
 
 
 def _wrap_double(value):

@@ -90,6 +90,9 @@ _BACKOFF_CAP = 2.0
 #: grace period for joining/terminating workers during shutdown
 _JOIN_SECONDS = 5.0
 
+#: how often an idle worker checks that its parent is still alive
+_ORPHAN_POLL_SECONDS = 1.0
+
 
 def derive_worker_seed(seed: int, worker_index: int) -> int:
     """The deterministic RNG seed of one campaign worker."""
@@ -105,6 +108,24 @@ def _default_start_method() -> str:
 def _worker_trace_path(trace_path: str, worker: int) -> str:
     """The private JSONL file of one campaign worker."""
     return "%s.worker%d" % (trace_path, worker)
+
+
+def _next_task(task_q, result_q, parent_pid: int):
+    """Block for a worker's next payload; ``None`` means "exit".
+
+    A SIGKILLed supervisor never sends the ``None`` sentinel, so an idle
+    worker wakes every ``_ORPHAN_POLL_SECONDS`` and exits once
+    ``os.getppid()`` is no longer ``parent_pid`` (the parent it saw at
+    start).  Nobody will read an orphan's unsent results, so its exit
+    must not wait for them to drain into the result queue.
+    """
+    while True:
+        try:
+            return task_q.get(timeout=_ORPHAN_POLL_SECONDS)
+        except _queue.Empty:
+            if os.getppid() != parent_pid:
+                result_q.cancel_join_thread()
+                return None
 
 
 def _run_slice(fuzzer: Fuzzer, payload: Dict) -> FuzzState:
@@ -166,7 +187,8 @@ def _worker_main(
     """Entry point of one supervised campaign worker process.
 
     Long-lived: compiles the model once (a warm compile-cache read), then
-    serves epoch payloads from ``task_q`` until it receives ``None``.
+    serves epoch payloads from ``task_q`` until it receives ``None`` or
+    its parent dies (see :func:`_next_task`).
     Every accepted payload is acknowledged with a ``("hb", ...)`` message
     *before* the slice runs, so the parent can tell "still fuzzing" from
     "never picked the task up".  Messages carry the spawn generation so
@@ -177,9 +199,10 @@ def _worker_main(
     any environment-derived plan, which is how a respawned worker
     (payload shipped with ``faults=None``) re-runs clean.
     """
+    parent_pid = os.getppid()
     fuzzer = Fuzzer(schedule, base_config)
     while True:
-        payload = task_q.get()
+        payload = _next_task(task_q, result_q, parent_pid)
         if payload is None:
             return
         epoch = payload.get("epoch", 0)

@@ -48,7 +48,12 @@ from ..faults.plan import (
     should_fire as faults_should_fire,
 )
 from ..fuzzing.engine import Fuzzer, FuzzerConfig
-from ..fuzzing.parallel import _BACKOFF_BASE, _BACKOFF_CAP, _DEATH_EXIT_CODE
+from ..fuzzing.parallel import (
+    _BACKOFF_BASE,
+    _BACKOFF_CAP,
+    _DEATH_EXIT_CODE,
+    _next_task,
+)
 from ..parser import model_from_xml
 from ..schedule import convert
 from ..slx import load_container
@@ -192,14 +197,15 @@ def _service_worker_main(slot: int, gen: int, task_q, result_q) -> None:
     The same supervision contract as a parallel-campaign worker: every
     accepted payload is acknowledged with ``("hb", ...)`` before work
     starts, results/errors answer on the shared queue tagged with the
-    spawn generation, and injected faults fire right after the
-    acknowledgement.  Unlike a campaign worker, the payload names which
-    *job* it belongs to — the scheduler multiplexes jobs over slots, so
-    slot identity alone means nothing.
+    spawn generation, injected faults fire right after the
+    acknowledgement, and an orphaned worker exits.  Unlike a campaign
+    worker, the payload names which *job* it belongs to — the scheduler
+    multiplexes jobs over slots, so slot identity alone means nothing.
     """
+    parent_pid = os.getppid()
     fuzzers: Dict[str, Fuzzer] = {}
     while True:
-        payload = task_q.get()
+        payload = _next_task(task_q, result_q, parent_pid)
         if payload is None:
             return
         job = payload["job"]

@@ -90,6 +90,31 @@ class TestWrap:
     def test_single_keeps_inf(self):
         assert wrap(math.inf, SINGLE) == math.inf
 
+    @given(
+        st.one_of(
+            st.floats(allow_nan=False, allow_infinity=False),
+            st.floats(min_value=3.4e38, max_value=3.5e38),
+            st.floats(min_value=-3.5e38, max_value=-3.4e38),
+        )
+    )
+    def test_single_narrows_like_c(self, value):
+        """Finite values past FLT_MAX narrow to the signed infinity —
+        C's ``(float)x`` — in ``wrap`` and the generated-code wrapper
+        alike, instead of raising ``OverflowError``."""
+        import ctypes
+
+        from repro.codegen.runtime import runtime_globals
+
+        want = ctypes.c_float(value).value
+        assert wrap(value, SINGLE) == want
+        assert runtime_globals()["_w_single"](value) == want
+
+    def test_single_overflow_is_signed_inf(self):
+        assert wrap(3.5e38, SINGLE) == math.inf
+        assert wrap(-3.5e38, SINGLE) == -math.inf
+        # below FLT_MAX + half an ulp: rounds down to FLT_MAX
+        assert wrap(3.4028235e38, SINGLE) == SINGLE.max_value
+
     def test_double_identity(self):
         assert wrap(0.1, DOUBLE) == 0.1
 

@@ -219,11 +219,19 @@ class TestDegradationLadder:
 # cache integration
 # -------------------------------------------------------------------- #
 class TestKernelCache:
-    def test_kernel_variant_has_its_own_cache_slot(self, schedule):
+    def test_kernel_variant_has_its_own_cache_slot(self, schedule, monkeypatch):
         plain = cache_key(schedule.model, "model", True)
         knl = cache_key(schedule.model, "model", True, kernel=True)
         batched = cache_key(schedule.model, "model", True, batch=True)
         assert len({plain, knl, batched}) == 3
+        # an ABI bump moves the kernel to a fresh slot (no quarantine
+        # thrash between checkouts sharing a cache); other slots stay
+        monkeypatch.setattr(
+            kernel_mod, "KERNEL_ABI_VERSION", kernel_mod.KERNEL_ABI_VERSION + 1
+        )
+        assert cache_key(schedule.model, "model", True, kernel=True) != knl
+        assert cache_key(schedule.model, "model", True) == plain
+        assert cache_key(schedule.model, "model", True, batch=True) == batched
 
     def test_quarantine_sweeps_native_artifacts(self, tmp_path):
         """A corrupted entry moves its .c/.so next to the .py/.bin in
@@ -425,4 +433,221 @@ class TestKernelThreading:
 
         with ThreadPoolExecutor(max_workers=2) as pool:
             got = list(pool.map(run, range(2)))
+        assert got == want
+
+
+# -------------------------------------------------------------------- #
+# byte-stream ingest: kern_run decodes every inport dtype itself
+# -------------------------------------------------------------------- #
+#: (dtype, [(Switch criterion, threshold), ...]) — each edge flips on a
+#: decode mistake: sign vs zero extension, field width, the bool
+#: ``!= 0`` collapse, and the float NaN clamp (NaN >= 0 only once
+#: clamped to 0.0), signed zero and subnormals (> 0)
+_INGEST_EDGES = (
+    ("int8", ((">=", 0), (">", 100))),
+    ("int16", ((">=", 0), (">", 30000))),
+    ("int32", ((">=", 0), (">", 2_000_000_000))),
+    ("uint8", ((">", 127), (">=", 255))),
+    ("uint16", ((">", 32767), (">=", 65535))),
+    ("uint32", ((">", 2_147_483_647), (">", 4_000_000_000))),
+    ("boolean", (("~=0", None), (">", 1))),
+    ("single", ((">=", 0), (">", 0), (">", 1e30))),
+    ("double", ((">=", 0), (">", 0), (">", 1e300))),
+)
+
+
+def _ingest_schedule():
+    from repro import ModelBuilder
+
+    b = ModelBuilder("ingest9")
+    one, zero = b.const(1, "int32"), b.const(0, "int32")
+    k = 0
+    for dtype, edges in _INGEST_EDGES:
+        u = b.inport("u_%s" % dtype, dtype)
+        for criterion, threshold in edges:
+            ctl = u
+            if dtype == "boolean" and threshold is not None:
+                # a raw 0x02 byte decoded without the != 0 collapse
+                # would pass ``> 1``
+                ctl = b.block(
+                    "DataTypeConversion", "conv%d" % k, dtype="int32"
+                )(u)
+            params = {"criterion": criterion}
+            if threshold is not None:
+                params["threshold"] = threshold
+            b.outport(
+                "y%d" % k, b.block("Switch", "sw%d" % k, **params)(one, ctl, zero)
+            )
+            k += 1
+    return convert(b.build())
+
+
+def _special_values(dtype: str):
+    """Edge encodings of one field (raw little-endian bytes)."""
+    import struct
+
+    if dtype == "single":
+        floats = [
+            struct.pack("<I", bits)
+            for bits in (
+                0x7FC00000,  # quiet NaN
+                0x7FA00000,  # signalling NaN
+                0xFFC00001,  # negative NaN with payload
+                0x7F800000,  # +inf
+                0xFF800000,  # -inf
+                0x80000000,  # -0.0
+                0x00000001,  # smallest subnormal
+                0x807FFFFF,  # largest negative subnormal
+                0x7F7FFFFF,  # FLT_MAX
+                0x00800000,  # smallest normal
+            )
+        ]
+        return floats + [struct.pack("<f", v) for v in (1.0, -2.5, 1e31)]
+    if dtype == "double":
+        floats = [
+            struct.pack("<Q", bits)
+            for bits in (
+                0x7FF8000000000000,  # quiet NaN
+                0x7FF4000000000000,  # signalling NaN
+                0xFFF8000000000001,  # negative NaN with payload
+                0x7FF0000000000000,  # +inf
+                0xFFF0000000000000,  # -inf
+                0x8000000000000000,  # -0.0
+                0x0000000000000001,  # smallest subnormal
+                0x800FFFFFFFFFFFFF,  # largest negative subnormal
+                0x7FEFFFFFFFFFFFFF,  # DBL_MAX
+            )
+        ]
+        return floats + [struct.pack("<d", v) for v in (1.0, -2.5, 1e301)]
+    if dtype == "boolean":
+        return [bytes([v]) for v in (0x00, 0x01, 0x02, 0x80, 0xFF)]
+    size = {"int8": 1, "uint8": 1, "int16": 2, "uint16": 2}.get(dtype, 4)
+    edges = [0, 1, (1 << (8 * size - 1)) - 1, 1 << (8 * size - 1)]
+    edges += [(1 << 8 * size) - 1, (1 << 8 * size) - 2, 100, 200]
+    return [(v % (1 << 8 * size)).to_bytes(size, "little") for v in edges]
+
+
+def _ingest_streams(layout):
+    """Random, edge-value, partial-tuple, short and empty streams."""
+    import random
+
+    rng = random.Random(2024)
+    size = layout.size
+    specials = {f.name: _special_values(f.dtype.name) for f in layout.fields}
+
+    def tuple_bytes():
+        buf = bytearray(rng.randrange(256) for _ in range(size))
+        for f in layout.fields:
+            if rng.random() < 0.7:
+                raw = rng.choice(specials[f.name])
+                buf[f.offset:f.offset + f.size] = raw
+        return bytes(buf)
+
+    streams = [b"", bytes(size - 1), bytes(1)]
+    for i in range(150):
+        n = rng.choice((1, 2, 3, 5, 8, 13))
+        data = b"".join(tuple_bytes() for _ in range(n))
+        if i % 3 == 0:  # a trailing partial tuple the driver discards
+            data += bytes(rng.randrange(256) for _ in range(rng.randrange(1, size)))
+        if i % 17 == 0:
+            data = bytes(rng.randrange(256) for _ in range(rng.randrange(size)))
+        streams.append(data)
+    return streams
+
+
+@skip_if_no_cc
+class TestKernelIngest:
+    """``kern_run`` reads the raw byte streams itself; per stream it must
+    match the scalar driver's ``struct``-based decode tuple by tuple,
+    for all nine inport dtypes, at every lane and thread count."""
+
+    @pytest.fixture(scope="class")
+    def ingest(self):
+        from repro.codegen.compile import compile_model
+        from repro.codegen.driver import compile_fuzz_driver
+
+        sched = _ingest_schedule()
+        assert sorted(f.dtype.name for f in sched.layout.fields) == sorted(
+            d for d, _ in _INGEST_EDGES
+        )
+        streams = _ingest_streams(sched.layout)
+        sdriver = compile_fuzz_driver(sched)
+        program, rec = compile_model(sched, "model").instantiate()
+        want, running = [], 0
+        for data in streams:
+            r = sdriver(program, rec.curr, data, running)
+            running = r[2]
+            want.append(tuple(r))
+        # the edges are live: the suite reaches both outcomes of most
+        # switches, so a decode error cannot hide behind dead probes
+        assert bin(running).count("1") >= sched.branch_db.n_probes - 2
+        ck = compile_kernel(sched, "model", cache=False)
+        return sched, ck, streams, want
+
+    @pytest.mark.parametrize("threads", (1, 2))
+    @pytest.mark.parametrize("lanes", (1, 8, 64))
+    def test_kernel_decode_matches_scalar(self, ingest, lanes, threads):
+        sched, ck, streams, want = ingest
+        kdriver = compile_kernel_fuzz_driver(sched)
+        kprog = ck.instantiate_kernel(lanes, threads)
+        got, running = [], 0
+        for lo in range(0, len(streams), lanes):
+            res = kdriver(kprog, None, streams[lo:lo + lanes], running)
+            running = res[-1][2]
+            got.extend(res)
+        assert len(got) == len(want)
+        for i, (w, g) in enumerate(zip(want, got)):
+            assert g[4] is None
+            assert tuple(g[:4]) == w, "stream %d: %r" % (i, streams[i])
+
+
+# -------------------------------------------------------------------- #
+# float32 narrowing: a finite overflow is +-inf in every engine
+# -------------------------------------------------------------------- #
+def _narrowing_schedule():
+    from repro import ModelBuilder
+
+    b = ModelBuilder("narrow")
+    u = b.inport("u", "double")
+    s = b.block("DataTypeConversion", "conv", dtype="single")(u)
+    r = b.block("Relational", "rel", op=">")(s, b.const(1.0, "single"))
+    b.outport("y", r)
+    return convert(b.build())
+
+
+class TestFloat32Narrowing:
+    def test_scalar_campaign_survives_float32_overflow(self):
+        """Finite doubles past FLT_MAX used to raise ``OverflowError``
+        out of the generated step and end the whole campaign."""
+        state = Fuzzer(
+            _narrowing_schedule(), FuzzerConfig(max_inputs=20000, seed=0)
+        ).run()
+        assert state.inputs_executed == 20000
+
+    @skip_if_no_cc
+    def test_scalar_and_kernel_agree_on_overflowing_stream(self):
+        import struct
+
+        from repro.codegen.compile import compile_model
+        from repro.codegen.driver import compile_fuzz_driver
+
+        sched = _narrowing_schedule()
+        streams = [
+            struct.pack("<%dd" % len(vals), *vals)
+            for vals in (
+                (3.5e38, -3.5e38, 1e300),
+                (-1e300, 0.5, 3.4028235e38),
+                (2.0, 3.5e38),
+            )
+        ]
+        program, rec = compile_model(sched, "model").instantiate()
+        sdriver = compile_fuzz_driver(sched)
+        want, running = [], 0
+        for data in streams:
+            r = sdriver(program, rec.curr, data, running)
+            running = r[2]
+            want.append(tuple(r))
+        kdriver = compile_kernel_fuzz_driver(sched)
+        kprog = compile_kernel(sched, "model", cache=False).instantiate_kernel(4)
+        got = [tuple(g[:4]) for g in kdriver(kprog, None, streams, 0)]
         assert got == want

@@ -476,6 +476,33 @@ def _spawn_daemon(store: str, *extra):
     raise AssertionError("daemon never published its endpoint")
 
 
+def _proc_state(pid: int):
+    """``(ppid, state letter)`` of a live pid from /proc, else ``None``."""
+    try:
+        with open("/proc/%d/stat" % pid) as fh:
+            stat = fh.read()
+    except OSError:
+        return None
+    fields = stat.rsplit(")", 1)[1].split()
+    return int(fields[1]), fields[0]
+
+
+def _running(pid: int) -> bool:
+    info = _proc_state(pid)
+    return info is not None and info[1] != "Z"
+
+
+def _child_pids(pid: int):
+    """Pids whose parent is ``pid`` (Linux process table)."""
+    kids = []
+    for entry in os.listdir("/proc"):
+        if entry.isdigit():
+            info = _proc_state(int(entry))
+            if info is not None and info[0] == pid:
+                kids.append(int(entry))
+    return kids
+
+
 CRASH_CONFIG = {
     "seed": 7,
     "max_inputs": 6000,
@@ -524,11 +551,23 @@ class TestDurability:
                 time.sleep(0.02)
             assert frame["rounds"] >= 2, "job finished before the kill"
             assert frame["state"] == "running"
+            has_proc = os.path.isdir("/proc")
+            workers = _child_pids(proc.pid) if has_proc else []
             os.kill(proc.pid, signal.SIGKILL)
             proc.wait(timeout=30)
         except BaseException:
             proc.kill()
             raise
+        if has_proc:
+            # the orphaned pool workers notice the dead parent and exit
+            # (a zombie awaiting its new parent's reap counts as gone)
+            assert len(workers) >= 2
+            deadline = time.monotonic() + 5.0
+            alive = workers
+            while alive and time.monotonic() < deadline:
+                time.sleep(0.1)
+                alive = [pid for pid in workers if _running(pid)]
+            assert not alive, "pool workers outlived their daemon"
         # restart over the same store: the job resumes from its last
         # snapshot and the lost in-flight slice re-runs deterministically
         proc, client = _spawn_daemon(store, "--pool", "2")
